@@ -28,7 +28,7 @@ fn main() {
     );
     println!();
     println!("All \"measured\" numbers come from the simulated GPU/CUDA substrate described in");
-    println!("DESIGN.md, with each application's work scaled by its default scale × {scale}");
+    println!("README.md, with each application's work scaled by its default scale × {scale}");
     println!("(footprints and call *rates* are unaffected by scaling).  Absolute times are");
     println!("therefore model times, not NVIDIA-hardware times; the comparison to check is the");
     println!("*shape*: who wins, by roughly what factor, and where the crossovers fall.");

@@ -662,6 +662,21 @@ pub(crate) fn verify_chunk_file_bytes(
     Ok(raw)
 }
 
+/// Reads one local chunk file and verifies it end to end (CRC, decode,
+/// content hash), returning the verbatim *file* bytes — the form
+/// replication ships — so a corrupted local chunk fails before it can
+/// cross the wire.
+pub(crate) fn read_verified_chunk_file(
+    store: &ImageStore,
+    hash: ContentHash,
+    raw_len: u64,
+) -> Result<Vec<u8>, StoreError> {
+    let path = store.chunk_path(hash);
+    let bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
+    verify_chunk_file_bytes(&path, &bytes, hash, raw_len, &Gauge::default())?;
+    Ok(bytes)
+}
+
 /// Loads, CRC-checks, decodes and hash-verifies one chunk from the local
 /// store, returning its raw bytes and the on-disk file size.
 fn fetch_chunk(

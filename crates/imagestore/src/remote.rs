@@ -6,10 +6,11 @@
 //! * [`ImageStore::replicate_to`] — push one stored image to a peer,
 //!   restic/borg-style: batched `has_chunks` negotiation first, then only
 //!   the chunks the peer is missing travel (as verbatim encoded chunk
-//!   files — no decode/re-encode on the hot path), and the manifest is
-//!   published strictly last.  Safe to re-run after any interruption: the
-//!   negotiation re-skips everything that already landed, so a resumed
-//!   replication ships exactly the remainder.
+//!   files, each verified locally first — no decode/re-encode on the hot
+//!   path), and the manifest is published strictly last.  Safe to re-run
+//!   after any interruption: the negotiation re-skips everything that
+//!   already landed, so a resumed replication ships exactly the
+//!   remainder.
 //! * [`ImageStore::replicate_from`] — the pull mirror: fetch a peer's
 //!   manifest, fetch + verify the chunks missing locally, adopt the
 //!   manifest under a fresh local id.
@@ -19,13 +20,22 @@
 //!   same trait the local writer pipeline implements).  Content is
 //!   chunked and hashed exactly like [`crate::writer::StreamWriter`]
 //!   (same boundaries ⇒ same hashes ⇒ dedup against anything the peer
-//!   already holds, local- or remote-written).
+//!   already holds, local- or remote-written).  Every region has landed
+//!   on the peer when `end_region` returns, so a pre-copy round is fully
+//!   shipped before the coordinator measures the next residual — after
+//!   the stop only the final delta remains.
 //! * [`RemoteChunkSource`] — a [`ChunkSource`] whose chunks arrive via
 //!   `get_chunk`: the *same* parallel fetch/verify/splice pipeline as the
 //!   local [`crate::reader::StreamReader`] (one code path —
 //!   [`crate::reader::run_fetch_pipeline`]), so remote restores get the
 //!   bounded-memory guarantee and full integrity checking for free, plus
 //!   bounded retry on transient transport faults.
+//!
+//! Both push paths share one negotiate-then-ship step: the chunks a batch
+//! finds missing are put by scoped workers at the restore pipeline's
+//! width ([`crate::reader::effective_read_threads`]), so on a pooled
+//! transport the puts ride several connections and the peer's per-chunk
+//! fsyncs overlap; the first failure is latched and cancels the rest.
 //!
 //! Everything that crosses the wire is verified on arrival — the
 //! receiving side never trusts the sender (chunk CRC, decode, content
@@ -35,6 +45,7 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crac_addrspace::{PageRun, PAGE_SIZE};
@@ -46,10 +57,10 @@ use crate::codec::{encode, Compression};
 use crate::error::StoreError;
 use crate::format::{ChunkEntry, ChunkFile, Manifest, RegionEntry};
 use crate::hash::ContentHash;
-use crate::pipeline::Gauge;
+use crate::pipeline::{latch, ErrorSlot, Gauge};
 use crate::reader::{
-    build_fetch_plan, declare_manifest, run_fetch_pipeline, verify_chunk_file_bytes, ChunkFetch,
-    ReadStats, ReaderObs,
+    build_fetch_plan, declare_manifest, effective_read_threads, read_verified_chunk_file,
+    run_fetch_pipeline, verify_chunk_file_bytes, ChunkFetch, ReadStats, ReaderObs,
 };
 use crate::store::{ImageId, ImageStore};
 use crate::stream::{ChunkSink, ChunkSource, RegionSink};
@@ -91,13 +102,6 @@ impl ReplicateStats {
         }
         self.chunks_deduped as f64 / self.chunks_total as f64
     }
-}
-
-/// A chunk staged in the sink, waiting for its `has_chunks` batch (its
-/// manifest entry was already recorded at staging time).
-struct StagedChunk {
-    hash: ContentHash,
-    raw: Vec<u8>,
 }
 
 /// Per-operation observability bundle for the ship side (sink and both
@@ -192,10 +196,109 @@ fn protocol_violation(asked: usize, answered: usize) -> StoreError {
     ))
 }
 
+/// The negotiate-then-ship step both ship paths share
+/// ([`RemoteChunkSink`] and [`ImageStore::replicate_to`]): asks the peer
+/// which of `batch`'s distinct hashes it is missing, then ships exactly
+/// those.
+///
+/// The puts fan out over scoped workers pulling tickets off a shared
+/// counter — the [`run_fetch_pipeline`] pattern, at the restore's width
+/// ([`effective_read_threads`]) — so on a pooled transport they travel on
+/// several connections and the peer's per-chunk fsyncs overlap.
+/// `file_bytes` produces one chunk's verbatim file bytes on its worker
+/// (encoding it, or reading and verifying it).  The first failure is
+/// latched, cancels the other workers' retry loops, and is returned once
+/// every worker has exited; counters only ever record puts that landed.
+fn ship_batch<T: Sync>(
+    transport: &dyn Transport,
+    obs: &ShipObs,
+    retries: &AtomicUsize,
+    batch: &[(ContentHash, T)],
+    file_bytes: impl Fn(ContentHash, &T) -> Result<Vec<u8>, StoreError> + Sync,
+) -> Result<(), StoreError> {
+    if batch.is_empty() {
+        return Ok(());
+    }
+    // Batch hashes are distinct by construction, so the whole batch is
+    // the query.
+    let query: Vec<ContentHash> = batch.iter().map(|(h, _)| *h).collect();
+    obs.has_batches.inc();
+    let retry = obs.retry("has_chunks");
+    let present = with_transient_retry_observed(
+        retries,
+        || false,
+        Some(&retry),
+        || transport.has_chunks(&query),
+    )?;
+    if present.len() != query.len() {
+        return Err(protocol_violation(query.len(), present.len()));
+    }
+    let missing: Vec<&(ContentHash, T)> = batch
+        .iter()
+        .zip(present)
+        .filter_map(|(item, is_present)| (!is_present).then_some(item))
+        .collect();
+    let deduped = batch.len() - missing.len();
+    obs.chunks_deduped.add(deduped as u64);
+
+    let retry = obs.retry("put_chunk");
+    let error: ErrorSlot = Arc::new(crac_sync::Mutex::new("imagestore.remote.ship_error", None));
+    let next = AtomicUsize::new(0);
+    let bytes_before = obs.bytes_shipped.get();
+    let worker = || loop {
+        let Some(&&(hash, ref item)) = missing.get(next.fetch_add(1, Ordering::Relaxed)) else {
+            return;
+        };
+        if error.lock().is_some() {
+            return;
+        }
+        let put = file_bytes(hash, item).and_then(|bytes| {
+            with_transient_retry_observed(
+                retries,
+                || error.lock().is_some(),
+                Some(&retry),
+                || transport.put_chunk(hash, &bytes),
+            )?;
+            Ok(bytes.len() as u64)
+        });
+        match put {
+            Ok(len) => {
+                obs.chunks_shipped.inc();
+                obs.bytes_shipped.add(len);
+            }
+            Err(e) => latch(&error, e),
+        }
+    };
+    // The calling thread is one of the workers.
+    std::thread::scope(|scope| {
+        for _ in 1..effective_read_threads(missing.len()) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    let first_error = error.lock().take();
+    if let Some(e) = first_error {
+        return Err(e);
+    }
+    obs.batch_settled(
+        missing.len(),
+        obs.bytes_shipped.get() - bytes_before,
+        deduped,
+    );
+    Ok(())
+}
+
 /// A [`ChunkSink`] that ships a streaming checkpoint straight to a remote
-/// peer: chunks are hashed locally, negotiated in [`HAS_CHUNKS_BATCH`]
-/// batches, and only missing content is encoded and shipped; the manifest
-/// is published last, under an id the *peer* assigns.
+/// peer: chunks are hashed locally, negotiated in batches of at most
+/// [`HAS_CHUNKS_BATCH`] — and at every region boundary — and only missing
+/// content is encoded and shipped; the manifest is published last, under
+/// an id the *peer* assigns.
+///
+/// The sink is synchronous: when [`ChunkSink::end_region`] returns, every
+/// chunk of that region has landed on the peer.  A pre-copy round is a
+/// sequence of regions, so each round has fully landed before the
+/// coordinator measures the next residual and stops the world — after the
+/// stop only the final delta remains to ship.
 ///
 /// Chunk boundaries replicate [`crate::writer::StreamWriter`]'s exactly,
 /// so a checkpoint streamed remotely dedups against images the peer
@@ -216,10 +319,11 @@ pub struct RemoteChunkSink<'t> {
     cur_region: Option<usize>,
     chunker: RunChunker,
 
-    /// Chunks awaiting their negotiation batch (bounded:
+    /// Chunks (hash, raw bytes) awaiting their negotiation batch — their
+    /// manifest entries were recorded at staging time (bounded:
     /// [`HAS_CHUNKS_BATCH`] chunks of ≤[`crate::chunk::CHUNK_PAGES`] pages
-    /// each).
-    staged: Vec<StagedChunk>,
+    /// each, shipped at the latest when their region ends).
+    staged: Vec<(ContentHash, Vec<u8>)>,
     /// Every distinct hash this stream has seen: the `chunks_total`
     /// accounting, and the in-stream dedup — a hash is staged (and so
     /// negotiated/shipped) at most once per stream.
@@ -306,7 +410,7 @@ impl<'t> RemoteChunkSink<'t> {
             return Ok(());
         }
         self.obs.chunks_total.inc();
-        self.staged.push(StagedChunk { hash, raw });
+        self.staged.push((hash, raw));
         if self.staged.len() >= HAS_CHUNKS_BATCH {
             self.negotiate_and_ship()?;
         }
@@ -316,68 +420,35 @@ impl<'t> RemoteChunkSink<'t> {
     /// One round of the dedup negotiation: ask the peer which staged
     /// hashes it is missing, ship exactly those, drop the rest.
     fn negotiate_and_ship(&mut self) -> Result<(), StoreError> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
         let staged = std::mem::take(&mut self.staged);
-        // Staged hashes are distinct by construction (`seen`), so the
-        // whole batch is the query.
-        let to_query: Vec<ContentHash> = staged.iter().map(|c| c.hash).collect();
-        self.obs.has_batches.inc();
-        let transport = self.transport;
-        let retry = self.obs.retry("has_chunks");
-        let present = with_transient_retry_observed(
+        let compression = self.compression;
+        ship_batch(
+            self.transport,
+            &self.obs,
             &self.retries,
-            || false,
-            Some(&retry),
-            || transport.has_chunks(&to_query),
-        )?;
-        if present.len() != to_query.len() {
-            return Err(protocol_violation(to_query.len(), present.len()));
-        }
-        let retry = self.obs.retry("put_chunk");
-        let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-        for (chunk, is_present) in staged.into_iter().zip(present) {
-            if is_present {
-                // The peer already had this content.
-                self.obs.chunks_deduped.inc();
-                deduped += 1;
-                continue;
-            }
-            let raw_len = chunk.raw.len() as u64;
-            let (encoding, encoded) = encode(&chunk.raw, self.compression);
-            drop(chunk.raw);
-            let file_bytes = ChunkFile {
-                encoding,
-                raw_len,
-                encoded,
-            }
-            .to_bytes();
-            with_transient_retry_observed(
-                &self.retries,
-                || false,
-                Some(&retry),
-                || transport.put_chunk(chunk.hash, &file_bytes),
-            )?;
-            self.obs.chunks_shipped.inc();
-            self.obs.bytes_shipped.add(file_bytes.len() as u64);
-            shipped += 1;
-            shipped_bytes += file_bytes.len() as u64;
-        }
-        self.obs.batch_settled(shipped, shipped_bytes, deduped);
-        Ok(())
+            &staged,
+            |_, raw| {
+                let (encoding, encoded) = encode(raw, compression);
+                Ok(ChunkFile {
+                    encoding,
+                    raw_len: raw.len() as u64,
+                    encoded,
+                }
+                .to_bytes())
+            },
+        )
     }
 
-    /// Completes the stream: ships the final batch, publishes the
-    /// manifest on the peer (strictly after every chunk landed) and
-    /// returns the peer-assigned image id plus the shipping stats.
+    /// Completes the stream: publishes the manifest on the peer (strictly
+    /// after every chunk landed — each region shipped at its
+    /// `end_region`) and returns the peer-assigned image id plus the
+    /// shipping stats.
     pub fn finish(mut self) -> Result<(ImageId, ReplicateStats), StoreError> {
         if self.cur_region.is_some() || !self.chunker.is_empty() {
             return Err(StoreError::protocol(
                 "finish called with a region still open",
             ));
         }
-        self.negotiate_and_ship()?;
 
         // Drop chunk entries fully superseded by later rounds' re-emitted
         // runs (mirrors the local writer's manifest trim; already-shipped
@@ -492,7 +563,10 @@ impl ChunkSink for RemoteChunkSink<'_> {
         self.chunker = chunker;
         result?;
         self.cur_region = None;
-        Ok(())
+        // Land the region before returning (see the type docs): a
+        // pre-copy round must be on the peer before the next residual is
+        // measured, not parked in a half-full batch until after the stop.
+        self.negotiate_and_ship()
     }
 
     fn push_payload(&mut self, name: &str, data: &[u8]) -> Result<(), StoreError> {
@@ -739,46 +813,13 @@ impl ImageStore {
         obs.chunks_total.add(hashes.len() as u64);
 
         for batch in hashes.chunks(HAS_CHUNKS_BATCH) {
-            let query: Vec<ContentHash> = batch.iter().map(|(h, _)| *h).collect();
-            obs.has_batches.inc();
-            let retry = obs.retry("has_chunks");
-            let present = with_transient_retry_observed(
-                &retries,
-                || false,
-                Some(&retry),
-                || transport.has_chunks(&query),
-            )?;
-            if present.len() != query.len() {
-                return Err(protocol_violation(query.len(), present.len()));
-            }
-            let retry = obs.retry("put_chunk");
-            let (mut shipped, mut shipped_bytes, mut deduped) = (0usize, 0u64, 0usize);
-            for (&(hash, raw_len), is_present) in batch.iter().zip(present) {
-                if is_present {
-                    obs.chunks_deduped.inc();
-                    deduped += 1;
-                    continue;
-                }
-                let path = self.chunk_path(hash);
-                let file_bytes = std::fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
-                // Never ship bytes we would not accept ourselves: verify
-                // the local chunk before it crosses the wire, so a locally
-                // corrupted store fails the replication loudly instead of
-                // poisoning the peer.
-                let gauge = Gauge::default();
-                verify_chunk_file_bytes(&path, &file_bytes, hash, raw_len, &gauge)?;
-                with_transient_retry_observed(
-                    &retries,
-                    || false,
-                    Some(&retry),
-                    || transport.put_chunk(hash, &file_bytes),
-                )?;
-                obs.chunks_shipped.inc();
-                obs.bytes_shipped.add(file_bytes.len() as u64);
-                shipped += 1;
-                shipped_bytes += file_bytes.len() as u64;
-            }
-            obs.batch_settled(shipped, shipped_bytes, deduped);
+            // Never ship bytes we would not accept ourselves: each chunk
+            // is verified locally before it crosses the wire, so a
+            // locally corrupted store fails the replication loudly
+            // instead of poisoning the peer.
+            ship_batch(transport, &obs, &retries, batch, |hash, &raw_len| {
+                read_verified_chunk_file(self, hash, raw_len)
+            })?;
         }
 
         // Chunks all landed: publish the manifest (its verbatim file

@@ -441,7 +441,10 @@ pub struct FaultyTransport<'t> {
     inner: &'t dyn Transport,
     cfg: FaultConfig,
     rng: Mutex<u64>,
-    puts_succeeded: AtomicUsize,
+    /// Puts admitted under [`FaultConfig::cut_after_puts`]: reserved
+    /// before the inner put and released if it fails, so concurrent puts
+    /// can never land more than the cut allows.
+    puts_admitted: AtomicUsize,
     faults_injected: AtomicUsize,
     attempts: Mutex<std::collections::HashMap<(u8, ContentHash), usize>>,
 }
@@ -453,7 +456,7 @@ impl<'t> FaultyTransport<'t> {
             inner,
             cfg,
             rng: Mutex::new("imagestore.transport.rng", cfg.seed | 1),
-            puts_succeeded: AtomicUsize::new(0),
+            puts_admitted: AtomicUsize::new(0),
             faults_injected: AtomicUsize::new(0),
             attempts: Mutex::new(
                 "imagestore.transport.attempts",
@@ -494,11 +497,23 @@ impl<'t> FaultyTransport<'t> {
     /// The link-down check shared by every op.
     fn check_cut(&self, what: &str) -> Result<(), StoreError> {
         if let Some(cut) = self.cfg.cut_after_puts {
-            if self.puts_succeeded.load(Ordering::Relaxed) >= cut {
+            if self.puts_admitted.load(Ordering::Relaxed) >= cut {
                 return Err(self.inject(&format!("link down during {what}")));
             }
         }
         Ok(())
+    }
+
+    /// Reserves one of the cut's put slots, or reports the link down once
+    /// every slot is taken (by landed or still in-flight puts).
+    fn admit_put(&self) -> Result<(), StoreError> {
+        let cut = self.cfg.cut_after_puts.unwrap_or(usize::MAX);
+        self.puts_admitted
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cut).then_some(n + 1)
+            })
+            .map(|_| ())
+            .map_err(|_| self.inject("link down during put_chunk"))
     }
 
     /// Counts one attempt for `key`, returning `true` while the attempt
@@ -527,9 +542,12 @@ impl Transport for FaultyTransport<'_> {
         if self.should_fail_attempt(b'p', hash, self.cfg.transient_put_attempts) {
             return Err(self.inject("put_chunk dropped"));
         }
-        self.inner.put_chunk(hash, file_bytes)?;
-        self.puts_succeeded.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.admit_put()?;
+        let put = self.inner.put_chunk(hash, file_bytes);
+        if put.is_err() {
+            self.puts_admitted.fetch_sub(1, Ordering::Relaxed);
+        }
+        put
     }
 
     fn get_chunk(&self, hash: ContentHash) -> Result<Vec<u8>, StoreError> {

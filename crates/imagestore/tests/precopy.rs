@@ -9,7 +9,7 @@
 //! `checkpoint_precopy` returns is the ground truth every restore is
 //! checked against.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -17,7 +17,7 @@ use crac_addrspace::{Addr, Half, MapRequest, SharedSpace, PAGE_SIZE};
 use crac_dmtcp::{Coordinator, CoordinatorConfig, DmtcpPlugin, PrecopyConfig};
 use crac_imagestore::net::{serve_on, TcpTransport};
 use crac_imagestore::testutil::TempDir;
-use crac_imagestore::{Compression, CoordinatorStoreExt, ImageStore, WriteOptions};
+use crac_imagestore::{Compression, CoordinatorStoreExt, ImageStore, ObsRegistry, WriteOptions};
 use proptest::prelude::*;
 
 const SECRET: &[u8] = b"precopy-secret";
@@ -43,9 +43,32 @@ impl DmtcpPlugin for StopMutator {
     }
 }
 
+/// Records, at the quiesce, how many `put_chunk` frames the peer has
+/// received so far — everything after that number shipped after the stop.
+struct FramesAtQuiesce {
+    peer: ObsRegistry,
+    frames: Arc<AtomicU64>,
+}
+
+impl DmtcpPlugin for FramesAtQuiesce {
+    fn name(&self) -> &str {
+        "frames-at-quiesce"
+    }
+    fn pre_checkpoint(&self) {
+        let frames = self
+            .peer
+            .snapshot()
+            .counter("crac_net_server_chunk_frames_received");
+        self.frames.store(frames, Ordering::SeqCst);
+    }
+}
+
 /// A space with one upper-half mapping of [`REGION_PAGES`] pages seeded
 /// with `initial` content, a coordinator quiescing through [`StopMutator`],
-/// and a mutator thread replaying `script` in a loop until quiesced.
+/// and a mutator thread replaying `script` in a loop until quiesced.  A
+/// non-empty script has taken its first write before this returns, so
+/// the mutation is guaranteed to race the checkpoint that follows rather
+/// than depend on when the thread first gets scheduled.
 fn space_under_mutation(
     initial: &[(u64, u8)],
     script: Vec<(u64, u8)>,
@@ -71,6 +94,8 @@ fn space_under_mutation(
         acked: Arc::clone(&acked),
     }));
     let mut_space = space.clone();
+    let started = Arc::new(AtomicBool::new(false));
+    let first_write = Arc::clone(&started);
     let mutator = std::thread::spawn(move || {
         let mut writes = 0u64;
         'outer: loop {
@@ -83,6 +108,7 @@ fn space_under_mutation(
                     .write_bytes(a + page * PAGE_SIZE + 64, &bytes)
                     .unwrap();
                 writes += 1;
+                first_write.store(true, Ordering::SeqCst);
             }
             if script.is_empty() || stop.load(Ordering::SeqCst) {
                 break;
@@ -91,6 +117,9 @@ fn space_under_mutation(
         acked.store(true, Ordering::SeqCst);
         writes
     });
+    while !started.load(Ordering::SeqCst) && !mutator.is_finished() {
+        std::thread::yield_now();
+    }
     (space, a, coord, mutator)
 }
 
@@ -162,6 +191,65 @@ fn precopy_to_remote_over_tcp_under_mutation_restores_the_quiesced_memory() {
     coord.restart_from_remote(&tcp, id, &fresh).unwrap();
     assert_eq!(live, mapping_bytes(&fresh, a));
     server.shutdown();
+}
+
+/// Pre-copy over TCP with `script` mutating, returning the peer's
+/// `put_chunk` frames received after the quiesce and the final pass's
+/// dirty pages; the restore is checked against the quiesced memory.
+fn frames_after_quiesce(script: Vec<(u64, u8)>) -> (u64, u64) {
+    let dir = TempDir::new("precopy-after-stop");
+    let peer = Arc::new(ImageStore::open(dir.path()).unwrap());
+    let server = serve_on("127.0.0.1:0", Arc::clone(&peer), SECRET).unwrap();
+    let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
+    let initial: Vec<(u64, u8)> = (0..REGION_PAGES).map(|p| (p, p as u8 + 3)).collect();
+    let (space, a, mut coord, mutator) = space_under_mutation(&initial, script);
+    let at_quiesce = Arc::new(AtomicU64::new(u64::MAX));
+    coord.register_plugin(Arc::new(FramesAtQuiesce {
+        peer: server.obs(),
+        frames: Arc::clone(&at_quiesce),
+    }));
+
+    let (id, pre, replicate) = coord
+        .checkpoint_to_remote_precopy(&tcp, 5, Compression::None, None, PrecopyConfig::default())
+        .unwrap();
+    mutator.join().unwrap();
+    let total = server.stats().chunk_frames_received as u64;
+    let before_stop = at_quiesce.load(Ordering::SeqCst);
+    assert!(before_stop <= total, "the quiesce hook ran");
+    assert!(before_stop > 0, "the bulk round landed before the stop");
+    assert_eq!(total, replicate.chunks_shipped as u64);
+
+    let live = mapping_bytes(&space, a);
+    let fresh = SharedSpace::new_no_aslr();
+    coord.restart_from_remote(&tcp, id, &fresh).unwrap();
+    assert_eq!(live, mapping_bytes(&fresh, a));
+    server.shutdown();
+    (total - before_stop, pre.final_dirty_pages)
+}
+
+/// Regression: the remote sink used to park up to a full negotiation
+/// batch of pre-copied chunks until after the stop, so most of the image
+/// shipped while the application could not run.  Every round now lands
+/// before the residual is measured: with nothing mutating, not a single
+/// chunk frame crosses the wire after the quiesce.
+#[test]
+fn precopy_ships_nothing_after_the_stop_when_memory_is_idle() {
+    let (after, final_dirty) = frames_after_quiesce(Vec::new());
+    assert_eq!(final_dirty, 0);
+    assert_eq!(after, 0, "chunk frames shipped after the quiesce");
+}
+
+/// Under a hot-set mutator, only the final delta ships after the stop:
+/// every final-pass chunk carries at least one dirty page, so the frames
+/// are bounded by the final pass's dirty pages.
+#[test]
+fn precopy_ships_only_the_final_delta_after_the_stop() {
+    let hot: Vec<(u64, u8)> = (0..8).map(|i| (20 + i, 0x50 + i as u8)).collect();
+    let (after, final_dirty) = frames_after_quiesce(hot);
+    assert!(
+        after <= final_dirty,
+        "{after} chunk frames after the quiesce for {final_dirty} final dirty pages"
+    );
 }
 
 proptest! {

@@ -127,32 +127,45 @@ impl Event {
 /// magnitude rarer than metric increments (per checkpoint / per retry /
 /// per connection, never per chunk on the happy path).
 pub(crate) struct Ring {
-    buf: Mutex<VecDeque<Event>>,
-    next_seq: AtomicU64,
+    buf: Mutex<RingBuf>,
     dropped: AtomicU64,
+}
+
+/// The ring's locked state.  `seq` is assigned under the same lock that
+/// orders the queue, so two concurrent pushers can never enqueue out of
+/// sequence order.
+struct RingBuf {
+    events: VecDeque<Event>,
+    next_seq: u64,
 }
 
 impl Ring {
     pub(crate) fn new() -> Self {
         Ring {
-            buf: Mutex::new("obs.event.ring", VecDeque::with_capacity(64)),
-            next_seq: AtomicU64::new(0),
+            buf: Mutex::new(
+                "obs.event.ring",
+                RingBuf {
+                    events: VecDeque::with_capacity(64),
+                    next_seq: 0,
+                },
+            ),
             dropped: AtomicU64::new(0),
         }
     }
 
-    fn lock(&self) -> crac_sync::MutexGuard<'_, VecDeque<Event>> {
+    fn lock(&self) -> crac_sync::MutexGuard<'_, RingBuf> {
         self.buf.lock()
     }
 
     pub(crate) fn push(&self, at: Duration, kind: EventKind, detail: String) {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut buf = self.lock();
-        if buf.len() == EVENT_RING_CAPACITY {
-            buf.pop_front();
+        let seq = buf.next_seq;
+        buf.next_seq += 1;
+        if buf.events.len() == EVENT_RING_CAPACITY {
+            buf.events.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        buf.push_back(Event {
+        buf.events.push_back(Event {
             seq,
             at,
             kind,
@@ -161,11 +174,11 @@ impl Ring {
     }
 
     pub(crate) fn drain(&self) -> Vec<Event> {
-        self.lock().drain(..).collect()
+        self.lock().events.drain(..).collect()
     }
 
     pub(crate) fn peek(&self) -> Vec<Event> {
-        self.lock().iter().cloned().collect()
+        self.lock().events.iter().cloned().collect()
     }
 
     pub(crate) fn dropped(&self) -> u64 {

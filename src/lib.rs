@@ -1,6 +1,7 @@
 //! Umbrella crate for the CRAC reproduction.
 //!
-//! The workspace is organised as one crate per subsystem (see `DESIGN.md`);
+//! The workspace is organised as one crate per subsystem (see the
+//! "Workspace layout" table in `README.md`);
 //! this crate re-exports the pieces a downstream user typically needs and is
 //! the home of the runnable examples (`examples/`) and the cross-crate
 //! integration tests (`tests/`).
