@@ -392,6 +392,35 @@ fn bench_image_io(c: &mut Criterion) {
         incr.chunks_deduped,
     );
 
+    // Integrity-primitive throughput (`hash_throughput`): single-thread
+    // MB/s of the content hash and of CRC-32 over one 64 KiB chunk — the
+    // per-byte cost every written, shipped and restored chunk pays.
+    {
+        use crac_imagestore::{hash::crc32, ContentHash};
+        use std::hint::black_box;
+
+        let chunk: Vec<u8> = (0..16).flat_map(|i| page_content(0, i)).collect();
+        let mb_per_s = |digest: &dyn Fn(&[u8])| {
+            const ROUNDS: u32 = 2000;
+            let t0 = std::time::Instant::now();
+            for _ in 0..ROUNDS {
+                digest(black_box(&chunk));
+            }
+            f64::from(ROUNDS) * chunk.len() as f64 / t0.elapsed().as_secs_f64() / 1e6
+        };
+        let hash_mb_s = mb_per_s(&|b| {
+            black_box(ContentHash::of(b));
+        });
+        let crc_mb_s = mb_per_s(&|b| {
+            black_box(crc32(b));
+        });
+        println!(
+            "\n{{\"bench\":\"hash_throughput\",\"bytes\":{},\
+             \"content_hash_mb_s\":{hash_mb_s:.0},\"crc32_mb_s\":{crc_mb_s:.0}}}",
+            chunk.len()
+        );
+    }
+
     // Per-stage timing breakdown from the observability registry: one
     // machine-readable JSON line per operation (greppable as
     // `ckpt_image_io_stages`), carving the wall time into the pipeline

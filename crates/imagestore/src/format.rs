@@ -38,8 +38,11 @@ use crate::store::ImageId;
 pub const MANIFEST_MAGIC: &[u8; 8] = b"CRACSTR1";
 /// Magic bytes opening a chunk file.
 pub const CHUNK_MAGIC: &[u8; 8] = b"CRACCHK1";
-/// Current manifest format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current manifest format version.  Version 2 names chunks with the
+/// XXH3-family [`ContentHash`]; a version-1 store named them with
+/// FNV-1a-128, so its manifests are refused rather than read as missing
+/// chunks.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// One chunk reference within a region: which pages it covers and the
 /// content hash naming its bytes in the chunk store.
@@ -431,5 +434,18 @@ mod tests {
         bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
         let err = Manifest::from_bytes(&bytes).unwrap_err();
         assert!(err.contains("version"), "got: {err}");
+    }
+
+    #[test]
+    fn version_1_manifests_are_refused_by_version() {
+        // A store written before chunk names changed meaning: refused up
+        // front, never read as a run of missing or corrupt chunks.
+        let mut bytes = sample_manifest().to_bytes();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_len = bytes.len() - 4;
+        let crc = crate::hash::crc32(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&crc.to_le_bytes());
+        let err = Manifest::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err, "unsupported manifest version 1");
     }
 }

@@ -2,17 +2,49 @@
 //! content hash that names chunks.
 //!
 //! Both are implemented locally because the build environment has no
-//! registry access.  CRC-32 guards against *accidental* corruption (the
-//! roundtrip tests flip single bytes); the content hash only needs to make
-//! collisions between distinct page contents astronomically unlikely, for
-//! which 128-bit FNV-1a is sufficient — there is no adversary in a
-//! checkpoint store the process writes for itself.
+//! registry access, and both work a word at a time — every restored
+//! chunk pays a CRC and a hash over its bytes, so byte-at-a-time code
+//! here is restart time.
+//!
+//! - **CRC-32** is the standard IEEE CRC (reflected, polynomial
+//!   `0xEDB88320`) computed by slicing-by-8: eight `const`-built tables,
+//!   eight input bytes per step.  Values are identical to the classic
+//!   bytewise table loop (≈1.2–1.3 GB/s against ≈0.3 GB/s on one core
+//!   of a 2-vCPU x86-64 VM).  It guards frames, manifests and chunk
+//!   files against *accidental* corruption.
+//! - **[`ContentHash`]** is a 128-bit hash from the XXH3 family: 64-byte
+//!   stripes feed eight u64 lanes with a 32×32→64 multiply-accumulate
+//!   against a fixed 192-byte secret, the lanes are scrambled after every
+//!   1 KiB block, and a 128-bit merge folds in the input length.  It is
+//!   one function for every length: a trailing partial stripe (and the
+//!   empty input) is zero-padded into one stripe, and the folded-in length
+//!   keeps the padding from colliding.  It runs at ≈13 GB/s against
+//!   ≈0.6 GB/s for the FNV-1a-128 it replaced, on the same machine.
+//!
+//! Neither is a cryptographic primitive.  The content hash is **not**
+//! collision-resistant against an adversary, and it is weaker there than
+//! FNV-1a-128 was: the secret is public and each lane adds its raw
+//! neighbouring input word, so colliding inputs can be built directly
+//! (for example, within one 1 KiB block, from words whose keyed low half
+//! is zero) without any cryptanalysis.  A receiver that checks a shipped
+//! chunk against its claimed name therefore only catches accidents: any
+//! peer holding the shared TCP secret is trusted with chunk naming, and
+//! could poison the shared dedup pool.  A process's own checkpoint store
+//! has no adversary, and 128 bits make accidental collisions between
+//! distinct page contents negligible; the same hash underlies the TCP
+//! auth proof (`net::auth`), which is therefore no real MAC either.  A
+//! keyed, collision-resistant tree hash (BLAKE3-style) would also serve
+//! peers that cannot be trusted, but a portable scalar BLAKE3 is no faster
+//! than FNV-1a was (0.3–0.55 GB/s); a fast one needs SIMD intrinsics with
+//! runtime dispatch, a second code path this crate does not carry yet.
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup table.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) slicing-by-8
+/// tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -25,10 +57,20 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Streaming CRC-32 state.
@@ -43,12 +85,27 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds `bytes` into the checksum.
+    /// Feeds `bytes` into the checksum, eight bytes per table round.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = (self.state >> 8) ^ CRC_TABLE[idx];
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.state = crc;
     }
 
     /// Finalises and returns the checksum.
@@ -77,18 +134,171 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentHash(pub u128);
 
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+/// Bytes per stripe: one u64 per lane.
+const STRIPE: usize = 64;
+/// Accumulator lanes.
+const LANES: usize = 8;
+/// Stripes per block; the lanes are scrambled after each block.
+const STRIPES_PER_BLOCK: usize = 16;
+/// Bytes per block (1 KiB).
+const BLOCK: usize = STRIPE * STRIPES_PER_BLOCK;
+/// Secret length: stripe `n` of a block keys on bytes `8n..8n + 64`, and
+/// the scramble keys on the last 64.
+const SECRET_LEN: usize = 192;
+
+const PRIME32_1: u64 = 0x9E37_79B1;
+const PRIME32_2: u64 = 0x85EB_CA77;
+const PRIME32_3: u64 = 0xC2B2_AE3D;
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Lane seeds (XXH3's initial accumulator).
+const INIT_ACC: [u64; LANES] = [
+    PRIME32_3, PRIME64_1, PRIME64_2, PRIME64_3, PRIME64_4, PRIME32_2, PRIME64_5, PRIME32_1,
+];
+
+/// The fixed secret: SplitMix64 output from the golden-ratio seed, so its
+/// provenance is a formula rather than an opaque table.
+const SECRET: [u8; SECRET_LEN] = build_secret();
+
+const fn build_secret() -> [u8; SECRET_LEN] {
+    let mut secret = [0u8; SECRET_LEN];
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut i = 0;
+    while i < SECRET_LEN / 8 {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let bytes = z.to_le_bytes();
+        let mut b = 0;
+        while b < 8 {
+            secret[i * 8 + b] = bytes[b];
+            b += 1;
+        }
+        i += 1;
+    }
+    secret
+}
+
+/// Eight little-endian u64 words of the secret starting at byte `offset`.
+const fn secret_words(offset: usize) -> [u64; LANES] {
+    let mut words = [0u64; LANES];
+    let mut i = 0;
+    while i < LANES {
+        let mut bytes = [0u8; 8];
+        let mut b = 0;
+        while b < 8 {
+            bytes[b] = SECRET[offset + 8 * i + b];
+            b += 1;
+        }
+        words[i] = u64::from_le_bytes(bytes);
+        i += 1;
+    }
+    words
+}
+
+const fn stripe_keys() -> [[u64; LANES]; STRIPES_PER_BLOCK] {
+    let mut keys = [[0u64; LANES]; STRIPES_PER_BLOCK];
+    let mut n = 0;
+    while n < STRIPES_PER_BLOCK {
+        keys[n] = secret_words(8 * n);
+        n += 1;
+    }
+    keys
+}
+
+/// Per-stripe keys within a block (stripe `n` at secret offset `8n`).
+const STRIPE_KEYS: [[u64; LANES]; STRIPES_PER_BLOCK] = stripe_keys();
+/// Scramble keys: the secret's last 64 bytes.
+const SCRAMBLE_KEY: [u64; LANES] = secret_words(SECRET_LEN - STRIPE);
+/// Merge keys for the low and high halves, at XXH3's odd offsets so they
+/// straddle the stripe keys instead of repeating them.
+const MERGE_KEY_LO: [u64; LANES] = secret_words(11);
+const MERGE_KEY_HI: [u64; LANES] = secret_words(SECRET_LEN - STRIPE - 11);
+
+/// Folds one 64-byte stripe into the lanes: each lane adds the product of
+/// the two halves of its keyed word and its neighbour's raw word (so no
+/// input bit is lost to a zero product).  Loading all eight words before
+/// the arithmetic is what lets the compiler vectorise the lanes.
+#[inline(always)]
+fn accumulate(acc: &mut [u64; LANES], stripe: &[u8], key: &[u64; LANES]) {
+    let mut v = [0u64; LANES];
+    for (i, word) in v.iter_mut().enumerate() {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(&stripe[8 * i..8 * i + 8]);
+        *word = u64::from_le_bytes(w);
+    }
+    for i in 0..LANES {
+        let k = v[i] ^ key[i];
+        let product = (k & 0xFFFF_FFFF).wrapping_mul(k >> 32);
+        acc[i] = acc[i].wrapping_add(product).wrapping_add(v[i ^ 1]);
+    }
+}
+
+/// End-of-block scramble: xorshift, key, multiply — a bijection per lane
+/// that spreads high bits down before the next block's products.
+#[inline(always)]
+fn scramble(acc: &mut [u64; LANES]) {
+    for i in 0..LANES {
+        let a = acc[i] ^ (acc[i] >> 47) ^ SCRAMBLE_KEY[i];
+        acc[i] = a.wrapping_mul(PRIME32_1);
+    }
+}
+
+/// 64×64→128 multiply folded back to 64 bits.
+fn mul128_fold64(a: u64, b: u64) -> u64 {
+    let p = a as u128 * b as u128;
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// Final bijective mix of one output half.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 37;
+    h = h.wrapping_mul(0x1656_6791_9E37_79F9);
+    h ^ (h >> 32)
+}
+
+/// Merges the eight lanes pairwise into 64 bits on top of `start`.
+fn merge(acc: &[u64; LANES], key: &[u64; LANES], start: u64) -> u64 {
+    let mut r = start;
+    for i in (0..LANES).step_by(2) {
+        r = r.wrapping_add(mul128_fold64(acc[i] ^ key[i], acc[i + 1] ^ key[i + 1]));
+    }
+    avalanche(r)
+}
 
 impl ContentHash {
-    /// Hashes `bytes` with FNV-1a-128.
+    /// Hashes `bytes` with the crate's XXH3-family 128-bit hash (see the
+    /// module docs).
     pub fn of(bytes: &[u8]) -> Self {
-        let mut h = FNV128_OFFSET;
-        for &b in bytes {
-            h ^= b as u128;
-            h = h.wrapping_mul(FNV128_PRIME);
+        let mut acc = INIT_ACC;
+        let mut blocks = bytes.chunks_exact(BLOCK);
+        for block in &mut blocks {
+            for (stripe, key) in block.chunks_exact(STRIPE).zip(&STRIPE_KEYS) {
+                accumulate(&mut acc, stripe, key);
+            }
+            scramble(&mut acc);
         }
-        ContentHash(h)
+        let rest = blocks.remainder();
+        let mut stripes = rest.chunks_exact(STRIPE);
+        for (stripe, key) in (&mut stripes).zip(&STRIPE_KEYS) {
+            accumulate(&mut acc, stripe, key);
+        }
+        let tail = stripes.remainder();
+        if !tail.is_empty() || bytes.is_empty() {
+            let mut last = [0u8; STRIPE];
+            last[..tail.len()].copy_from_slice(tail);
+            accumulate(&mut acc, &last, &STRIPE_KEYS[rest.len() / STRIPE]);
+        }
+        let len = bytes.len() as u64;
+        let lo = merge(&acc, &MERGE_KEY_LO, len.wrapping_mul(PRIME64_1));
+        let hi = merge(&acc, &MERGE_KEY_HI, !len.wrapping_mul(PRIME64_2));
+        ContentHash((hi as u128) << 64 | lo as u128)
     }
 
     /// Lower-case hex rendering (32 chars) — also the chunk's file stem.
@@ -148,5 +358,66 @@ mod tests {
         b[2049] ^= 0x01;
         assert_ne!(crc32(&a), crc32(&b));
         assert_ne!(ContentHash::of(&a), ContentHash::of(&b));
+    }
+
+    /// Deterministic, non-repeating test bytes.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B1).rotate_right(13) as u8)
+            .collect()
+    }
+
+    /// Chunk names are on-disk and on-wire identifiers: any change to the
+    /// hash must be a deliberate format bump, never an accident.  Lengths
+    /// straddle the empty input, the padded stripe, the stripe and block
+    /// boundaries, a page, and a full 16-page chunk.
+    #[test]
+    fn content_hash_known_answers() {
+        let known: [(usize, u128); 9] = [
+            (0, 0x71fd36d9f169ec70603903e42ccb1480),
+            (1, 0x0828e5c269bc0916d38383d0cdbef287),
+            (63, 0xb17cda55e9e4f0b2726deb9e29491bf4),
+            (64, 0xc6eb50f6ad461f0846972c0a51515e1a),
+            (65, 0x4c4bdd4202eb73e4cd90710c7bfece5d),
+            (1024, 0x17fa63d69035d4fe2eda34de7754fb6e),
+            (1025, 0x45d29a6cbe137c873dd4b871e912f63b),
+            (4096, 0x231e0d146a0d8adc70ac34fcd15fbdcd),
+            (65536, 0x6f5cc7b3bff43969375260587ee754f2),
+        ];
+        for (len, want) in known {
+            let got = ContentHash::of(&pattern(len));
+            assert_eq!(got, ContentHash(want), "length {len}");
+        }
+    }
+
+    /// A single-bit flip at every byte offset of a 64 KiB chunk changes
+    /// its name.  That is 4 GiB of hashing, so unoptimised builds sample
+    /// every 97th offset; release builds check them all.
+    #[test]
+    fn bit_flip_at_every_offset_changes_the_hash() {
+        let mut buf = pattern(64 << 10);
+        let base = ContentHash::of(&buf);
+        let step = if cfg!(debug_assertions) { 97 } else { 1 };
+        for offset in (0..buf.len()).step_by(step) {
+            let bit = 1u8 << (offset % 8);
+            buf[offset] ^= bit;
+            assert_ne!(ContentHash::of(&buf), base, "flip at byte {offset}");
+            buf[offset] ^= bit;
+        }
+    }
+
+    /// Zero padding of the last stripe never lets two lengths collide:
+    /// all-zero inputs of every length up to four pages and a stripe hash
+    /// to distinct values.
+    #[test]
+    fn zero_inputs_of_every_length_hash_distinctly() {
+        let zeros = vec![0u8; 4160];
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=zeros.len() {
+            assert!(
+                seen.insert(ContentHash::of(&zeros[..len])),
+                "{len} zero bytes collide with a shorter run"
+            );
+        }
     }
 }

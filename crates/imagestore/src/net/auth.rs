@@ -14,12 +14,12 @@
 //! content hash — no new dependencies.  Both directions prove knowledge
 //! of the secret without ever sending it, fresh nonces keep transcripts
 //! from replaying, and the direction tag keeps a reflected proof from
-//! verifying.  The same honesty note as [`crate::hash`] applies: FNV-1a
-//! is not a cryptographic primitive, so this keeps *honest* stores from
-//! being crossed (a mis-pasted address, a stale config) and raises the
-//! bar for drive-by connections; a hostile network needs a real MAC and
-//! transport encryption layered underneath (the handshake shape would
-//! not change).
+//! verifying.  The same honesty note as [`crate::hash`] applies: the
+//! content hash is not a cryptographic primitive, so this is not a real
+//! MAC.  It keeps *honest* stores from being crossed (a mis-pasted
+//! address, a stale config) and raises the bar for drive-by connections;
+//! a hostile network needs a real MAC and transport encryption layered
+//! underneath (the handshake shape would not change).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -30,7 +30,7 @@ use crate::net::frame::NONCE_LEN;
 const BLOCK: usize = 64;
 
 /// HMAC-style keyed hash: `H((k ⊕ opad) ‖ H((k ⊕ ipad) ‖ msg))` over
-/// [`ContentHash`] (FNV-1a-128).
+/// [`ContentHash`].
 pub(crate) fn mac(secret: &[u8], parts: &[&[u8]]) -> u128 {
     // Collapse an oversized secret to a hash, pad the rest with zeros.
     let mut key = [0u8; BLOCK];

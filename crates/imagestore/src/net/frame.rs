@@ -36,8 +36,10 @@ use crate::hash::{crc32, ContentHash};
 use crate::store::ImageId;
 
 /// Version byte carried by every frame; a peer speaking another version
-/// is refused before anything else is parsed.
-pub const WIRE_VERSION: u8 = 1;
+/// is refused before anything else is parsed.  Version 2 carries chunk
+/// names from the XXH3-family [`ContentHash`] (version 1 peers name the
+/// same bytes differently, so their hashes would never match).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on one frame's `body + crc` length.  Chunk payloads are at
 /// most [`crate::chunk::CHUNK_PAGES`] pages plus a fixed header, but
@@ -747,6 +749,21 @@ mod tests {
             wire.extend_from_slice(&crc32(&body).to_le_bytes());
             let err = read_frame(&mut std::io::Cursor::new(wire)).unwrap_err();
             assert!(matches!(err, FrameError::Malformed(_)), "got: {err}");
+        }
+    }
+
+    #[test]
+    fn version_1_frames_are_refused() {
+        // A well-formed frame from a peer that still names chunks the old
+        // way: refused by its version byte, CRC intact.
+        let mut wire = Frame::GetChunk(ContentHash::of(b"x")).to_wire();
+        wire[4] = 1;
+        let body_len = wire.len() - 4;
+        let crc = crc32(&wire[4..body_len]);
+        wire[body_len..].copy_from_slice(&crc.to_le_bytes());
+        match read_frame(&mut std::io::Cursor::new(wire)).unwrap_err() {
+            FrameError::Malformed(what) => assert_eq!(what, "unsupported wire version 1"),
+            other => panic!("expected a version refusal, got {other}"),
         }
     }
 }

@@ -18,6 +18,7 @@ use crac_imagestore::{
     MaterialiseSink, RegionSource, RemoteChunkSink, RemoteChunkSource, StoreError, Transport,
     WriteOptions,
 };
+use crac_sync::{Condvar, Mutex};
 
 const SECRET: &[u8] = b"rendezvous-secret";
 
@@ -141,6 +142,72 @@ fn live_checkpoint_streams_straight_to_a_socket() {
     server.shutdown();
 }
 
+/// Makes a parallel restore's fetch workers overlap on the wire: each
+/// `get_chunk` first meets a partner (bounded wait), so two gets enter
+/// the pool together.  Without it one worker can drain every small get
+/// while the next is still dialling its socket, so meeting only once is
+/// not enough.  Meeting stops once the pool has had two sockets in use,
+/// or when a wait runs out (a lone worker); every call still reaches the
+/// real transport, whose counters the test asserts on.
+struct PairedGets<'t> {
+    inner: &'t TcpTransport,
+    /// (meetings so far, a caller is waiting, meeting is over).
+    gate: Mutex<(u64, bool, bool)>,
+    met: Condvar,
+}
+
+impl PairedGets<'_> {
+    fn meet(&self) {
+        let mut gate = self.gate.lock();
+        let (meetings, waiting, over) = *gate;
+        if over {
+            return;
+        }
+        if waiting {
+            *gate = (meetings + 1, false, false);
+            self.met.notify_all();
+            return;
+        }
+        gate.1 = true;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while gate.0 == meetings && !gate.2 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                gate.2 = true;
+                return;
+            }
+            gate = self.met.wait_timeout(gate, left).0;
+        }
+    }
+}
+
+impl Transport for PairedGets<'_> {
+    fn has_chunks(&self, hashes: &[ContentHash]) -> Result<Vec<bool>, StoreError> {
+        self.inner.has_chunks(hashes)
+    }
+    fn put_chunk(&self, hash: ContentHash, file_bytes: &[u8]) -> Result<(), StoreError> {
+        self.inner.put_chunk(hash, file_bytes)
+    }
+    fn get_chunk(&self, hash: ContentHash) -> Result<Vec<u8>, StoreError> {
+        self.meet();
+        let bytes = self.inner.get_chunk(hash);
+        if self.inner.stats().peak_connections_in_use >= 2 {
+            self.gate.lock().2 = true;
+            self.met.notify_all();
+        }
+        bytes
+    }
+    fn list_manifests(&self) -> Result<Vec<ImageId>, StoreError> {
+        self.inner.list_manifests()
+    }
+    fn get_manifest(&self, id: ImageId) -> Result<Vec<u8>, StoreError> {
+        self.inner.get_manifest(id)
+    }
+    fn put_manifest(&self, bytes: &[u8], parent: Option<ImageId>) -> Result<ImageId, StoreError> {
+        self.inner.put_manifest(bytes, parent)
+    }
+}
+
 #[test]
 fn parallel_restore_rides_multiple_pooled_connections() {
     let dir = TempDir::new("tcp-pool");
@@ -149,7 +216,12 @@ fn parallel_restore_rides_multiple_pooled_connections() {
     let (id, _) = store.write_image(&img, &WriteOptions::full()).unwrap();
 
     let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
-    let mut source = RemoteChunkSource::open(&tcp, id).unwrap();
+    let paired = PairedGets {
+        inner: &tcp,
+        gate: Mutex::new("test.paired_gets", (0, false, false)),
+        met: Condvar::new(),
+    };
+    let mut source = RemoteChunkSource::open(&paired, id).unwrap();
     let mut sink = MaterialiseSink::default();
     source.stream_out(&mut sink).unwrap();
     let mut back = sink.into_image(source.taken_at_ns());
