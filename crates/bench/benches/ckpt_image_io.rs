@@ -394,9 +394,12 @@ fn bench_image_io(c: &mut Criterion) {
 
     // Integrity-primitive throughput (`hash_throughput`): single-thread
     // MB/s of the content hash and of CRC-32 over one 64 KiB chunk — the
-    // per-byte cost every written, shipped and restored chunk pays.
+    // per-byte cost every written, shipped and restored chunk pays.  CRC-32
+    // is timed twice: as dispatched (`crc32_kernel` names the path this
+    // machine took) and through the portable tables alone.
     {
-        use crac_imagestore::{hash::crc32, ContentHash};
+        use crac_imagestore::hash::{crc32, crc32_kernel, crc32_portable};
+        use crac_imagestore::ContentHash;
         use std::hint::black_box;
 
         let chunk: Vec<u8> = (0..16).flat_map(|i| page_content(0, i)).collect();
@@ -414,10 +417,15 @@ fn bench_image_io(c: &mut Criterion) {
         let crc_mb_s = mb_per_s(&|b| {
             black_box(crc32(b));
         });
+        let portable_mb_s = mb_per_s(&|b| {
+            black_box(crc32_portable(b));
+        });
         println!(
             "\n{{\"bench\":\"hash_throughput\",\"bytes\":{},\
-             \"content_hash_mb_s\":{hash_mb_s:.0},\"crc32_mb_s\":{crc_mb_s:.0}}}",
-            chunk.len()
+             \"content_hash_mb_s\":{hash_mb_s:.0},\"crc32_mb_s\":{crc_mb_s:.0},\
+             \"crc32_portable_mb_s\":{portable_mb_s:.0},\"crc32_kernel\":\"{}\"}}",
+            chunk.len(),
+            crc32_kernel()
         );
     }
 

@@ -142,38 +142,36 @@ fn live_checkpoint_streams_straight_to_a_socket() {
     server.shutdown();
 }
 
-/// Makes a parallel restore's fetch workers overlap on the wire: each
-/// `get_chunk` first meets a partner (bounded wait), so two gets enter
-/// the pool together.  Without it one worker can drain every small get
-/// while the next is still dialling its socket, so meeting only once is
-/// not enough.  Meeting stops once the pool has had two sockets in use,
-/// or when a wait runs out (a lone worker); every call still reaches the
-/// real transport, whose counters the test asserts on.
+/// Pairs the restore's `get_chunk` calls at a two-party barrier until the
+/// pool has had two sockets in use, so two fetch workers enter the pool
+/// together.  Meeting once is not enough: the first worker can drain
+/// every get while the second is still dialling, and under load a woken
+/// worker can start late.  A wait that runs out (5 s: a lone worker)
+/// ends the pairing.  Every call reaches the real transport, whose
+/// counters the test asserts.
 struct PairedGets<'t> {
     inner: &'t TcpTransport,
-    /// (meetings so far, a caller is waiting, meeting is over).
-    gate: Mutex<(u64, bool, bool)>,
+    /// (arrivals so far, pairing given up).
+    gate: Mutex<(u32, bool)>,
     met: Condvar,
 }
 
 impl PairedGets<'_> {
-    fn meet(&self) {
+    fn barrier(&self) {
         let mut gate = self.gate.lock();
-        let (meetings, waiting, over) = *gate;
-        if over {
+        if gate.1 || self.inner.stats().peak_connections_in_use >= 2 {
             return;
         }
-        if waiting {
-            *gate = (meetings + 1, false, false);
+        gate.0 += 1;
+        let round_full = gate.0.next_multiple_of(2);
+        if gate.0 == round_full {
             self.met.notify_all();
-            return;
         }
-        gate.1 = true;
         let deadline = Instant::now() + Duration::from_secs(5);
-        while gate.0 == meetings && !gate.2 {
+        while gate.0 < round_full {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                gate.2 = true;
+                gate.1 = true;
                 return;
             }
             gate = self.met.wait_timeout(gate, left).0;
@@ -189,13 +187,8 @@ impl Transport for PairedGets<'_> {
         self.inner.put_chunk(hash, file_bytes)
     }
     fn get_chunk(&self, hash: ContentHash) -> Result<Vec<u8>, StoreError> {
-        self.meet();
-        let bytes = self.inner.get_chunk(hash);
-        if self.inner.stats().peak_connections_in_use >= 2 {
-            self.gate.lock().2 = true;
-            self.met.notify_all();
-        }
-        bytes
+        self.barrier();
+        self.inner.get_chunk(hash)
     }
     fn list_manifests(&self) -> Result<Vec<ImageId>, StoreError> {
         self.inner.list_manifests()
@@ -218,7 +211,7 @@ fn parallel_restore_rides_multiple_pooled_connections() {
     let tcp = TcpTransport::connect(server.local_addr(), SECRET).unwrap();
     let paired = PairedGets {
         inner: &tcp,
-        gate: Mutex::new("test.paired_gets", (0, false, false)),
+        gate: Mutex::new("test.paired_gets", (0, false)),
         met: Condvar::new(),
     };
     let mut source = RemoteChunkSource::open(&paired, id).unwrap();

@@ -1,8 +1,9 @@
-//! Property tests for the slicing-by-8 CRC-32: fed in arbitrary pieces
-//! from arbitrarily aligned buffers, the streaming state equals the
-//! one-shot `crc32`, and both equal the classic bytewise table loop kept
-//! here as an oracle — the word-at-a-time rewrite changed the speed, never
-//! a value.
+//! Property tests for CRC-32: fed in arbitrary pieces from arbitrarily
+//! aligned buffers, the streaming state equals the one-shot `crc32`, and
+//! both equal the classic bytewise table loop kept here as an oracle — the
+//! slicing-by-8 tables and the carry-less-multiply kernel changed the
+//! speed, never a value.  Inputs run past 64 KiB, so one case can drive
+//! the kernel's fold-by-4 loop for a thousand iterations.
 
 use crac_imagestore::hash::{crc32, Crc32};
 use proptest::prelude::*;
@@ -38,11 +39,12 @@ fn oracle_matches_the_standard_vector() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random data at a random misalignment (0–7 bytes into its buffer),
-    /// fed through `Crc32::update` in pieces cut at random points.
+    /// Random data up to a 64 KiB chunk and beyond, at a random
+    /// misalignment (0–7 bytes into its buffer), fed through
+    /// `Crc32::update` in pieces cut at random points.
     #[test]
     fn split_misaligned_updates_match_one_shot_and_bytewise(
-        data in proptest::collection::vec(any::<u8>(), 0..3000),
+        data in proptest::collection::vec(any::<u8>(), 0..70_000),
         skew in 0usize..8,
         cuts in proptest::collection::vec(any::<u64>(), 0..12),
     ) {

@@ -15,6 +15,7 @@
 //! | `no-unwrap`   | no `.unwrap()` / `.expect(...)` / `panic!(...)` in non-test library code |
 //! | `raw-spawn`   | no `thread::spawn` outside approved scoped-spawn seams               |
 //! | `raw-instant` | no `Instant::now()` timing outside `crac-obs` / `crac-sync` spans    |
+//! | `unsafe-code` | `unsafe` only in `crates/imagestore/src/hash.rs`, each site after a `// SAFETY:` comment |
 //!
 //! ## Escapes
 //!
@@ -35,6 +36,11 @@
 //! crates), `crates/sync` is exempt from `raw-lock` (it *wraps* the raw
 //! types), and `crates/obs` + `crates/sync` are exempt from
 //! `raw-instant` (they *are* the timing layer).
+//!
+//! An `unsafe` block or `unsafe fn` in that file passes only when a
+//! comment containing `SAFETY:` sits on its line or directly above it;
+//! attribute lines and further comment lines may come between, a blank
+//! or code line may not.
 
 use std::fmt;
 use std::io;
@@ -51,17 +57,21 @@ pub enum Rule {
     RawSpawn,
     /// `Instant::now()` timing outside the observability layers.
     RawInstant,
+    /// `unsafe` outside the one file allowed it, or without a
+    /// `// SAFETY:` comment there.
+    UnsafeCode,
     /// A malformed or unknown allow directive (not allowable).
     Directive,
 }
 
 impl Rule {
     /// Every checkable rule (excludes the directive meta-rule).
-    pub const ALL: [Rule; 4] = [
+    pub const ALL: [Rule; 5] = [
         Rule::RawLock,
         Rule::NoUnwrap,
         Rule::RawSpawn,
         Rule::RawInstant,
+        Rule::UnsafeCode,
     ];
 
     /// The stable id used in diagnostics and `allow(...)` directives.
@@ -71,6 +81,7 @@ impl Rule {
             Rule::NoUnwrap => "no-unwrap",
             Rule::RawSpawn => "raw-spawn",
             Rule::RawInstant => "raw-instant",
+            Rule::UnsafeCode => "unsafe-code",
             Rule::Directive => "directive",
         }
     }
@@ -97,6 +108,10 @@ impl fmt::Display for Rule {
         f.write_str(self.id())
     }
 }
+
+/// The files where `unsafe` may appear: the CRC-32 kernel's runtime
+/// dispatch is the workspace's only use.
+const UNSAFE_ALLOWED: [&str; 1] = ["crates/imagestore/src/hash.rs"];
 
 /// One diagnostic: a rule violated at a source location.
 #[derive(Clone, Debug)]
@@ -494,7 +509,15 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
             if rule.path_exempt(rel_path) || allowed(idx, rule) {
                 continue;
             }
-            if let Some(message) = check_rule(rule, code) {
+            if let Some(mut message) = check_rule(rule, code) {
+                if rule == Rule::UnsafeCode && UNSAFE_ALLOWED.contains(&rel_path) {
+                    if has_safety_comment(&lines, idx) {
+                        continue;
+                    }
+                    message = "`unsafe` without a `// SAFETY:` comment on or directly above it \
+                               stating why its requirements hold"
+                        .to_string();
+                }
                 violations.push(Violation {
                     file: rel_path.to_string(),
                     line: idx + 1,
@@ -505,6 +528,18 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Violation> {
         }
     }
     violations
+}
+
+/// Is there a `SAFETY:` comment on line `idx`, or above it across only
+/// comment and attribute lines?
+fn has_safety_comment(lines: &[SplitLine], idx: usize) -> bool {
+    let passable = |l: &&SplitLine| {
+        let code = l.code.trim();
+        (code.is_empty() && !l.comment.is_empty()) || code.starts_with("#[")
+    };
+    std::iter::once(&lines[idx])
+        .chain(lines[..idx].iter().rev().take_while(passable))
+        .any(|l| l.comment.contains("SAFETY:"))
 }
 
 /// Finds allow directives in a line's comment text.
@@ -625,6 +660,12 @@ fn check_rule(rule: Rule, code: &str) -> Option<String> {
             "Instant::now() timing outside crac-obs/crac-sync — record through an obs Span or \
              justify with an allow directive"
                 .to_string()
+        }),
+        Rule::UnsafeCode => contains_word(code, "unsafe").then(|| {
+            format!(
+                "`unsafe` outside {} — keep unsafe code behind the one audited seam",
+                UNSAFE_ALLOWED.join(", ")
+            )
         }),
         Rule::Directive => None,
     }
@@ -762,6 +803,56 @@ let v = map.get(&k).unwrap();
         );
         assert!(rules_hit("crates/obs/src/span.rs", "let t0 = Instant::now();\n").is_empty());
         assert!(rules_hit("crates/sync/src/lib.rs", "let t0 = Instant::now();\n").is_empty());
+    }
+
+    // ---- unsafe-code ----------------------------------------------------
+
+    const UNSAFE_OK: &str = "crates/imagestore/src/hash.rs";
+
+    #[test]
+    fn unsafe_code_flags_unsafe_outside_the_allowed_file() {
+        assert_eq!(
+            rules_hit(
+                LIB,
+                "// SAFETY: justified, but not here\nlet v = unsafe { f() };\n"
+            ),
+            ["unsafe-code"]
+        );
+        assert_eq!(rules_hit(LIB, "unsafe fn f() {}\n"), ["unsafe-code"]);
+        assert!(rules_hit(LIB, "#![forbid(unsafe_code)]\nlet s = \"unsafe\";\n").is_empty());
+    }
+
+    #[test]
+    fn unsafe_code_allows_justified_sites_in_the_allowed_file() {
+        let block = "\
+// SAFETY: the feature check above holds,
+// so the call's requirements hold.
+let v = unsafe { kernel(x) };
+let w = unsafe { kernel(y) }; // SAFETY: same check as above
+";
+        assert!(rules_hit(UNSAFE_OK, block).is_empty());
+        let func = "\
+// SAFETY: callers check the CPU features first.
+#[target_feature(enable = \"pclmulqdq\")]
+#[inline]
+unsafe fn kernel(x: u32) -> u32 { x }
+";
+        assert!(rules_hit(UNSAFE_OK, func).is_empty());
+    }
+
+    #[test]
+    fn unsafe_code_needs_a_safety_comment_in_the_allowed_file() {
+        let v = scan_source(UNSAFE_OK, "let v = unsafe { kernel(x) };\n");
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::UnsafeCode);
+        assert!(v[0].message.contains("SAFETY"), "{}", v[0].message);
+        // A code or blank line between the comment and the site breaks it.
+        let stale = "// SAFETY: about the line below only\nlet a = 1;\nlet v = unsafe { f() };\n";
+        assert_eq!(rules_hit(UNSAFE_OK, stale), ["unsafe-code"]);
+        let gap = "// SAFETY: detached\n\nunsafe fn f() {}\n";
+        assert_eq!(rules_hit(UNSAFE_OK, gap), ["unsafe-code"]);
+        let plain = "// the CPU has the feature\nlet v = unsafe { f() };\n";
+        assert_eq!(rules_hit(UNSAFE_OK, plain), ["unsafe-code"]);
     }
 
     // ---- directives -----------------------------------------------------
